@@ -1,11 +1,15 @@
 (* Hot-path budget probe: minor words and wall time per instruction for
-   trace generation and each analyzer sink, separately and fanned out.
-   Quick to run and deliberately simple — use it to spot an analyzer
-   that starts allocating per instruction before the bechamel numbers
-   drift.  See DESIGN.md §8 for the allocation discipline it guards. *)
+   trace generation, each analyzer sink and each machine model, separately
+   and fanned out.  Every row after [generation_only] includes the
+   generator's own cost; subtract that row for the sink alone.
+   Quick to run and deliberately simple — use it to spot an analyzer or
+   machine model that starts allocating per instruction before the
+   bechamel numbers drift.  See DESIGN.md §8 for the allocation
+   discipline it guards. *)
 module W = Mica_workloads
 module G = Mica_trace.Generator
 module A = Mica_analysis
+module U = Mica_uarch
 
 let icount = 100_000
 
@@ -104,5 +108,12 @@ let () =
   measure "sketch_fanout" (fun () ->
       let sk = Mica_sketch.Sketch.create () in
       run (Mica_sketch.Sketch.sink sk));
+  measure "uarch_inorder" (fun () -> run (U.Inorder.sink (U.Inorder.create ())));
+  measure "uarch_ooo" (fun () -> run (U.Ooo.sink (U.Ooo.create ())));
+  List.iter
+    (fun (cfg : U.Machine.config) ->
+      measure ("uarch_machine_" ^ cfg.U.Machine.name) (fun () ->
+          run (U.Machine.sink (U.Machine.create cfg))))
+    U.Machine.presets;
   probe_column_stats ();
   probe_state_size ()

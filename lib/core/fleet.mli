@@ -2,10 +2,14 @@
 
     Each workload's trace is generated exactly once and fanned out to all
     N machine sinks ({!Mica_uarch.Machine.measure_all}); workloads run
-    pool-parallel.  Because trace generation dominates machine simulation,
-    this is markedly faster than N single-machine passes — and the result
-    is bit-identical to them, which {!characterize_n_pass} exists to prove
-    (and to serve as the benchmark baseline). *)
+    pool-parallel.  One pass saves the N - 1 repeated trace generations
+    of N single-machine passes.  That saving is modest: the machine
+    models, not the generator, are the larger cost — over the registry at
+    50k instructions the 8 [machines/*.json] models together cost about
+    12x the generator's ns/instr (about 18x before their per-instruction
+    allocations were removed).  The result is bit-identical to N passes,
+    which {!characterize_n_pass} exists to prove (and to serve as the
+    benchmark baseline). *)
 
 type t = {
   machine_names : string array;

@@ -50,31 +50,40 @@ let sets t = t.n_sets
 let line_bytes t = t.line_bytes
 let assoc t = t.assoc
 
-let find t addr =
-  let line = addr lsr t.line_shift in
-  let set = line land t.set_mask in
-  let tag = line lsr t.set_shift in
-  let base = set * t.assoc in
-  let rec go i = if i >= t.assoc then -1 else if t.tags.(base + i) = tag then base + i else go (i + 1) in
-  (go 0, base, tag)
+(* Lookups run on every I-fetch, D-access and L2 access, so they must not
+   allocate (DESIGN.md §8): each caller derives the set base and tag
+   itself and the way search returns a bare slot index. *)
+let set_base t line = (line land t.set_mask) * t.assoc
+let line_tag t line = line lsr t.set_shift
+
+(* Slot of [tag] among the ways [base, stop), or -1 on a miss.  The [int]
+   annotations keep [=] an integer compare rather than a [caml_equal]
+   call. *)
+let rec find_way (tags : int array) (tag : int) i stop =
+  if i >= stop then -1 else if Array.unsafe_get tags i = tag then i else find_way tags tag (i + 1) stop
+
+(* Replace the least recently used way of the set at [base] with [tag]. *)
+let fill t base tag =
+  let victim = ref base in
+  for i = base + 1 to base + t.assoc - 1 do
+    if t.stamps.(i) < t.stamps.(!victim) then victim := i
+  done;
+  t.tags.(!victim) <- tag;
+  t.stamps.(!victim) <- t.clock
 
 let access t addr =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
-  let idx, base, tag = find t addr in
+  let line = addr lsr t.line_shift in
+  let base = set_base t line and tag = line_tag t line in
+  let idx = find_way t.tags tag base (base + t.assoc) in
   if idx >= 0 then begin
     t.stamps.(idx) <- t.clock;
     true
   end
   else begin
     t.misses <- t.misses + 1;
-    (* replace LRU way *)
-    let victim = ref base in
-    for i = 1 to t.assoc - 1 do
-      if t.stamps.(base + i) < t.stamps.(!victim) then victim := base + i
-    done;
-    t.tags.(!victim) <- tag;
-    t.stamps.(!victim) <- t.clock;
+    fill t base tag;
     false
   end
 
@@ -88,21 +97,16 @@ let access_range t addr ~bytes =
   !all_hit
 
 let probe t addr =
-  let idx, _, _ = find t addr in
-  idx >= 0
+  let line = addr lsr t.line_shift in
+  let base = set_base t line in
+  find_way t.tags (line_tag t line) base (base + t.assoc) >= 0
 
 let install t addr =
   t.clock <- t.clock + 1;
-  let idx, base, tag = find t addr in
-  if idx >= 0 then t.stamps.(idx) <- t.clock
-  else begin
-    let victim = ref base in
-    for i = 1 to t.assoc - 1 do
-      if t.stamps.(base + i) < t.stamps.(!victim) then victim := base + i
-    done;
-    t.tags.(!victim) <- tag;
-    t.stamps.(!victim) <- t.clock
-  end
+  let line = addr lsr t.line_shift in
+  let base = set_base t line and tag = line_tag t line in
+  let idx = find_way t.tags tag base (base + t.assoc) in
+  if idx >= 0 then t.stamps.(idx) <- t.clock else fill t base tag
 
 let accesses t = t.accesses
 let misses t = t.misses

@@ -255,13 +255,12 @@ let step_out_of_order t ~width ~window ~pc ~code ~src1 ~src2 ~dst ~addr ~taken =
   t.fetch_num <- t.fetch_num + 1;
   let ic = icache_extra t pc in
   if ic > 0 then redirect_fetch t ~width (fetch_cycle + ic);
-  let ready_src r = if Reg.carries_dependency r then t.reg_ready.(r) else 0 in
-  let deps =
-    let a = ready_src src1 and b = ready_src src2 in
-    if a > b then a else b
-  in
+  (* operand readiness read inline: a local [ready_src] closure would be
+     allocated on every instruction *)
+  let a = if Reg.carries_dependency src1 then t.reg_ready.(src1) else 0 in
+  let b = if Reg.carries_dependency src2 then t.reg_ready.(src2) else 0 in
   let window_free = if t.filled < window then 0 else t.completions.(t.head) in
-  let issue = max fetch_cycle (max deps window_free) in
+  let issue = Int.max fetch_cycle (Int.max (Int.max a b) window_free) in
   let latency =
     if code = op_load then begin
       let tlb_extra = if Tlb.access t.dtlb addr then 0 else t.cfg.dtlb_penalty in

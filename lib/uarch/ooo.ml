@@ -72,13 +72,12 @@ let step t ~pc ~code ~src1 ~src2 ~dst ~addr ~taken =
     let lat = if Cache.access t.l2 pc then t.cfg.l2_latency else t.cfg.mem_latency in
     redirect_fetch t (fetch_cycle + lat)
   end;
-  let ready_src r = if Reg.carries_dependency r then t.reg_ready.(r) else 0 in
-  let deps =
-    let a = ready_src src1 and b = ready_src src2 in
-    if a > b then a else b
-  in
+  (* operand readiness read inline: a local [ready_src] closure would be
+     allocated on every instruction *)
+  let a = if Reg.carries_dependency src1 then t.reg_ready.(src1) else 0 in
+  let b = if Reg.carries_dependency src2 then t.reg_ready.(src2) else 0 in
   let window_free = if t.filled < t.cfg.window then 0 else t.completions.(t.head) in
-  let issue = max fetch_cycle (max deps window_free) in
+  let issue = Int.max fetch_cycle (Int.max (Int.max a b) window_free) in
   let latency =
     if code = op_load then load_latency t addr
     else if code = op_store then begin

@@ -21,17 +21,21 @@ let create ~entries ~page_bytes =
     misses = 0;
   }
 
+(* Slot holding [page], or -1.  A page is resident at most once (a miss
+   installs it only after this scan found it absent), so stopping at the
+   first match gives the same slot as scanning every entry.  [int]
+   annotations as in [Cache.find_way]. *)
+let rec find_page (pages : int array) (page : int) i n =
+  if i >= n then -1 else if Array.unsafe_get pages i = page then i else find_page pages page (i + 1) n
+
 let access t addr =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
   let page = addr lsr t.page_shift in
   let n = Array.length t.pages in
-  let hit = ref (-1) in
-  for i = 0 to n - 1 do
-    if t.pages.(i) = page then hit := i
-  done;
-  if !hit >= 0 then begin
-    t.stamps.(!hit) <- t.clock;
+  let hit = find_page t.pages page 0 n in
+  if hit >= 0 then begin
+    t.stamps.(hit) <- t.clock;
     true
   end
   else begin
@@ -53,6 +57,8 @@ let access_range t addr ~bytes =
     if not (access t (page lsl t.page_shift)) then all_hit := false
   done;
   !all_hit
+
+let resident_pages t = Array.fold_right (fun p acc -> if p >= 0 then p :: acc else acc) t.pages []
 
 let accesses t = t.accesses
 let misses t = t.misses

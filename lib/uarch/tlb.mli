@@ -18,6 +18,10 @@ val access_range : t -> int -> bytes:int -> bool
     translating only its first page.  Returns [true] iff every page hit.
     Raises [Invalid_argument] if [bytes <= 0]. *)
 
+val resident_pages : t -> int list
+(** The page numbers currently held, in slot order, for inspection.  A
+    page is never resident in two slots. *)
+
 val accesses : t -> int
 val misses : t -> int
 val miss_rate : t -> float

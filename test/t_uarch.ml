@@ -489,6 +489,181 @@ let prop_machine_rates_bounded =
       && r.U.Machine.ipc <= width +. 1e-9
       && List.for_all (fun x -> x >= 0.0 && x <= 1.0) rates)
 
+(* ---------------- LRU differential vs a naive reference ---------------- *)
+
+(* Naive true-LRU models: each set (or the whole TLB) is a list of tags,
+   most recently used first, cut to the associativity on insertion. *)
+module Ref_lru = struct
+  type t = { ways : int; sets : int list array }
+
+  let create ~sets ~ways = { ways; sets = Array.make sets [] }
+
+  (* [touch t set tag] reports whether [tag] was resident, then makes it
+     the most recently used entry, evicting the least recently used one
+     when the set is full. *)
+  let touch t set tag =
+    let l = t.sets.(set) in
+    let hit = List.mem tag l in
+    let rest = List.filter (( <> ) tag) l in
+    t.sets.(set) <- List.filteri (fun i _ -> i < t.ways) (tag :: rest);
+    hit
+
+  let mem t set tag = List.mem tag t.sets.(set)
+end
+
+type cache_op = Access of int | Install of int | Probe of int
+
+(* byte addresses over 8 KiB: 256 lines of 32 bytes or 32 pages of 256
+   bytes, enough to overflow every geometry below and still re-hit *)
+let lru_ops_gen =
+  QCheck2.Gen.(
+    list_size (int_range 1 800)
+      (let* kind = int_range 0 9 and* a = int_range 0 8191 in
+       return (if kind < 7 then Access a else if kind < 9 then Install a else Probe a)))
+
+(* (line_bytes, assoc, sets): direct-mapped, non-power-of-two 3-way,
+   fully associative in a single set, and two ordinary shapes *)
+let lru_geometries = [ (32, 1, 8); (64, 3, 4); (32, 4, 1); (16, 2, 16); (64, 8, 2); (32, 3, 1) ]
+
+let prop_cache_matches_reference_lru =
+  Tutil.qcheck_case "cache = naive LRU reference" lru_ops_gen (fun ops ->
+      List.for_all
+        (fun (line_bytes, assoc, sets) ->
+          let c =
+            U.Cache.create ~name:"lru" ~size_bytes:(line_bytes * assoc * sets) ~line_bytes ~assoc
+          in
+          let r = Ref_lru.create ~sets ~ways:assoc in
+          let split a = ((a / line_bytes) mod sets, a / line_bytes / sets) in
+          let accesses = ref 0 and misses = ref 0 in
+          let same =
+            List.for_all
+              (fun op ->
+                match op with
+                | Access a ->
+                  let set, tag = split a in
+                  let expect = Ref_lru.touch r set tag in
+                  incr accesses;
+                  if not expect then incr misses;
+                  U.Cache.access c a = expect
+                | Install a ->
+                  let set, tag = split a in
+                  ignore (Ref_lru.touch r set tag : bool);
+                  U.Cache.install c a;
+                  true
+                | Probe a ->
+                  let set, tag = split a in
+                  U.Cache.probe c a = Ref_lru.mem r set tag)
+              ops
+          in
+          same && U.Cache.accesses c = !accesses && U.Cache.misses c = !misses)
+        lru_geometries)
+
+let prop_tlb_matches_reference_lru =
+  Tutil.qcheck_case "tlb = naive LRU reference, pages unique" lru_ops_gen (fun ops ->
+      List.for_all
+        (fun entries ->
+          let page_bytes = 256 in
+          let t = U.Tlb.create ~entries ~page_bytes in
+          let r = Ref_lru.create ~sets:1 ~ways:entries in
+          let misses = ref 0 in
+          let same =
+            List.for_all
+              (fun op ->
+                (* the TLB has only [access]: every op translates its address *)
+                let a = match op with Access a | Install a | Probe a -> a in
+                let expect = Ref_lru.touch r 0 (a / page_bytes) in
+                if not expect then incr misses;
+                let hit = U.Tlb.access t a in
+                let pages = U.Tlb.resident_pages t in
+                hit = expect
+                && List.length (List.sort_uniq compare pages) = List.length pages
+                && List.sort compare pages = List.sort compare r.Ref_lru.sets.(0))
+              ops
+          in
+          same && U.Tlb.accesses t = List.length ops && U.Tlb.misses t = !misses)
+        [ 1; 3; 8; 32 ])
+
+(* ---------------- allocation-free hot paths ---------------- *)
+
+(* Every per-instruction path in the machine models must allocate nothing
+   (DESIGN.md §8).  Each case is run over 100k and over 200k instructions
+   of the same input; the extra 100k may cost at most [alloc_slack] minor
+   words, so a closure or tuple on the hot path (one per instruction, or
+   100k+ words) fails here rather than only in a benchmark row. *)
+let alloc_slack = 64.0
+
+(* 200k instructions of a registry workload with loads, stores and
+   branches, recorded once into 1000-instruction chunks so that the
+   replay below runs no generator code. *)
+let recorded_trace =
+  lazy
+    (let w = Mica_workloads.Registry.find_exn "SPEC2000/gcc/166" in
+     let chunks = ref [] in
+     let record =
+       Mica_trace.Sink.make ~name:"record" (fun c ->
+           for i = 0 to c.Mica_trace.Chunk.len - 1 do
+             (match !chunks with
+             | d :: _ when not (Mica_trace.Chunk.is_full d) -> ()
+             | _ -> chunks := Mica_trace.Chunk.create ~capacity:1000 () :: !chunks);
+             Mica_trace.Chunk.append c i (List.hd !chunks)
+           done)
+     in
+     let (_ : int) = Mica_trace.Generator.run w.Mica_workloads.Workload.model ~icount:200_000 ~sink:record in
+     Array.of_list (List.rev !chunks))
+
+(* Minor words [run n] allocates, for a fresh [setup ()] state. *)
+let words_for setup run n =
+  let st = setup () in
+  let w0 = Gc.minor_words () in
+  run st n;
+  Gc.minor_words () -. w0
+
+let check_alloc_free name setup run =
+  let short = words_for setup run 100_000 and long = words_for setup run 200_000 in
+  if long -. short > alloc_slack then
+    Alcotest.failf "%s: %.0f minor words for 100k more instructions (100k run: %.0f, 200k run: %.0f)"
+      name (long -. short) short long
+
+(* Feed the first [n] recorded instructions to a sink. *)
+let replay (sink : Mica_trace.Sink.t) n =
+  let chunks = Lazy.force recorded_trace in
+  for k = 0 to (n / 1000) - 1 do
+    sink.Mica_trace.Sink.on_chunk chunks.(k)
+  done
+
+let test_models_alloc_free () =
+  let trace = Lazy.force recorded_trace in
+  Alcotest.(check int) "recorded instructions" 200_000
+    (Array.fold_left (fun n c -> n + Mica_trace.Chunk.length c) 0 trace);
+  check_alloc_free "Inorder.sink" (fun () -> U.Inorder.sink (U.Inorder.create ())) replay;
+  check_alloc_free "Ooo.sink" (fun () -> U.Ooo.sink (U.Ooo.create ())) replay;
+  check_alloc_free "Hw_counters.sink"
+    (fun () -> U.Hw_counters.sink (U.Hw_counters.create ()))
+    replay;
+  List.iter
+    (fun (name, cfg) ->
+      check_alloc_free ("Machine.sink " ^ name) (fun () -> U.Machine.sink (U.Machine.create cfg)) replay)
+    (T_fleet.load_dir_exn ())
+
+(* Addresses with a mix of hits and misses in the structures below. *)
+let alloc_addrs =
+  let rng = Mica_util.Rng.create ~seed:11L in
+  Array.init 4096 (fun _ -> Mica_util.Rng.int rng (1 lsl 22))
+
+let test_cache_tlb_alloc_free () =
+  let cache () = U.Cache.create ~name:"alloc" ~size_bytes:(96 * 1024) ~line_bytes:64 ~assoc:3 in
+  let each f n =
+    for i = 0 to n - 1 do
+      f (Array.unsafe_get alloc_addrs (i land 4095))
+    done
+  in
+  check_alloc_free "Cache.access" cache (fun c -> each (fun a -> ignore (U.Cache.access c a : bool)));
+  check_alloc_free "Cache.install" cache (fun c -> each (fun a -> U.Cache.install c a));
+  check_alloc_free "Cache.probe" cache (fun c -> each (fun a -> ignore (U.Cache.probe c a : bool)));
+  check_alloc_free "Tlb.access"
+    (fun () -> U.Tlb.create ~entries:64 ~page_bytes:8192)
+    (fun t -> each (fun a -> ignore (U.Tlb.access t a : bool)))
+
 let suite =
   ( "uarch",
     [
@@ -500,6 +675,10 @@ let suite =
       Alcotest.test_case "machine prefetcher" `Quick test_machine_prefetch_helps_streaming;
       Alcotest.test_case "preset golden vectors" `Quick test_preset_golden_vectors;
       prop_machine_rates_bounded;
+      Alcotest.test_case "models allocation-free per instruction" `Quick test_models_alloc_free;
+      Alcotest.test_case "cache/tlb allocation-free" `Quick test_cache_tlb_alloc_free;
+      prop_cache_matches_reference_lru;
+      prop_tlb_matches_reference_lru;
       Alcotest.test_case "cache geometry" `Quick test_cache_geometry;
       Alcotest.test_case "cache invalid geometry" `Quick test_cache_invalid_geometry;
       Alcotest.test_case "cache size not multiple rejected" `Quick

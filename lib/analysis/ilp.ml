@@ -45,7 +45,9 @@ let step sim ~src1 ~src2 ~dst =
   in
   let completion = issue + 1 in
   sim.completions.(sim.head) <- completion;
-  sim.head <- (sim.head + 1) mod sim.window;
+  (* compare-and-reset, not [mod]: an integer divide per instruction *)
+  let next = sim.head + 1 in
+  sim.head <- (if next = sim.window then 0 else next);
   if sim.filled < sim.window then sim.filled <- sim.filled + 1;
   if Reg.carries_dependency dst then sim.reg_ready.(dst) <- completion;
   if completion > sim.last_cycle then sim.last_cycle <- completion
@@ -58,13 +60,15 @@ let sink t =
       let len = c.Chunk.len in
       let src1 = c.Chunk.src1 and src2 = c.Chunk.src2 and dst = c.Chunk.dst in
       t.count <- t.count + len;
-      Array.iter
-        (fun sim ->
-          for i = 0 to len - 1 do
-            step sim ~src1:(Array.unsafe_get src1 i) ~src2:(Array.unsafe_get src2 i)
-              ~dst:(Array.unsafe_get dst i)
-          done)
-        t.sims)
+      (* a [for] loop, not [Array.iter]: its closure over the chunk's
+         columns would be allocated on every chunk *)
+      for s = 0 to Array.length t.sims - 1 do
+        let sim = Array.unsafe_get t.sims s in
+        for i = 0 to len - 1 do
+          step sim ~src1:(Array.unsafe_get src1 i) ~src2:(Array.unsafe_get src2 i)
+            ~dst:(Array.unsafe_get dst i)
+        done
+      done)
 
 let reset t =
   Array.iter

@@ -26,10 +26,18 @@ val variant_name : variant -> string
 type t
 
 val create : ?order:int -> ?variants:variant list -> unit -> t
-(** [order] is the maximum context length in branch outcomes; default 8.
-    [variants] restricts which predictors are simulated (default all
-    four) — measuring fewer variants costs proportionally less, which is
-    what makes a reduced characteristic set cheaper to collect. *)
+(** [order] is the maximum context length in branch outcomes, [0..16];
+    default 8.  [variants] restricts which predictors are simulated
+    (default all four) — measuring fewer variants costs proportionally
+    less, which is what makes a reduced characteristic set cheaper to
+    collect.
+
+    Memory: each predictor holds its contexts in dense blocks of
+    [2^(order+1) - 1] ints, one counter per (order, history) pair — 4 KB
+    per block at order 8, 1 MB at order 16.  GAg and PAg use a single
+    block; GAs and PAs use one per static conditional branch seen, and
+    their block array doubles as it fills, so up to as much again may
+    sit unused. *)
 
 val sink : t -> Mica_trace.Sink.t
 

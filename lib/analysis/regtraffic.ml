@@ -28,12 +28,16 @@ let create () =
     dep_total = 0;
   }
 
-(* Top-level recursion: a nested [let rec] capturing [d] would allocate a
-   closure on each call, and this runs for every dependent source read. *)
-let rec bucket_from d i n =
-  if i >= n then n else if d <= dep_cutoffs.(i) then i else bucket_from d (i + 1) n
+(* Histogram bucket of every distance up to the last cutoff, computed once:
+   the first cutoff [>= d].  Longer distances fall in the "> 64" bucket. *)
+let max_cutoff = dep_cutoffs.(Array.length dep_cutoffs - 1)
 
-let bucket_of_distance d = bucket_from d 0 (Array.length dep_cutoffs)
+let bucket_table =
+  Array.init (max_cutoff + 1) (fun d ->
+      let rec first i = if d <= dep_cutoffs.(i) then i else first (i + 1) in
+      first 0)
+
+let bucket_of_distance d = if d > max_cutoff then Array.length dep_cutoffs else bucket_table.(d)
 
 let read t r =
   if not (Reg.is_none r) then begin

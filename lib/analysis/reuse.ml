@@ -18,7 +18,7 @@ module Fenwick = struct
     done
 
   let prefix t i =
-    let acc = ref 0 and i = ref (min i (capacity t)) in
+    let acc = ref 0 and i = ref (Int.min i (capacity t)) in
     while !i > 0 do
       acc := !acc + t.tree.(!i);
       i := !i - (!i land - !i)
@@ -27,7 +27,7 @@ module Fenwick = struct
 
   (* double the capacity, re-adding the currently marked positions *)
   let grow t marked =
-    let new_cap = max 2 (2 * capacity t) in
+    let new_cap = Int.max 2 (2 * capacity t) in
     t.tree <- Array.make (new_cap + 1) 0;
     Hashtbl.iter (fun _ pos -> add t pos 1) marked
 

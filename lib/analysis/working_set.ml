@@ -6,23 +6,29 @@ type result = { data_blocks : int; data_pages : int; instr_blocks : int; instr_p
 
 (* [Int_map] used as a set: one multiplicative-hash probe per touch,
    no allocation, no boxing.  Block and page numbers are address shifts,
-   so the non-negative-key requirement holds. *)
-type t = {
-  d_blocks : Int_map.t;
-  d_pages : Int_map.t;
-  i_blocks : Int_map.t;
-  i_pages : Int_map.t;
-}
+   so the non-negative-key requirement holds.  [last] is the key touched
+   most recently: consecutive instructions mostly share a block and a
+   page, and since adding a present key changes nothing, a repeat skips
+   the probe. *)
+type set = { keys : Int_map.t; mutable last : int }
+
+type t = { d_blocks : set; d_pages : set; i_blocks : set; i_pages : set }
+
+let make_set initial = { keys = Int_map.create ~initial (); last = -1 }
 
 let create () =
   {
-    d_blocks = Int_map.create ~initial:4096 ();
-    d_pages = Int_map.create ~initial:256 ();
-    i_blocks = Int_map.create ~initial:1024 ();
-    i_pages = Int_map.create ~initial:64 ();
+    d_blocks = make_set 4096;
+    d_pages = make_set 256;
+    i_blocks = make_set 1024;
+    i_pages = make_set 64;
   }
 
-let touch tbl key = Int_map.add_if_absent tbl key
+let touch s key =
+  if key <> s.last then begin
+    Int_map.add_if_absent s.keys key;
+    s.last <- key
+  end
 
 let is_mem_code = Array.init Opcode.count (fun i -> Opcode.is_mem (Opcode.of_int i))
 
@@ -43,10 +49,10 @@ let sink t =
 
 let result t =
   {
-    data_blocks = Int_map.length t.d_blocks;
-    data_pages = Int_map.length t.d_pages;
-    instr_blocks = Int_map.length t.i_blocks;
-    instr_pages = Int_map.length t.i_pages;
+    data_blocks = Int_map.length t.d_blocks.keys;
+    data_pages = Int_map.length t.d_pages.keys;
+    instr_blocks = Int_map.length t.i_blocks.keys;
+    instr_pages = Int_map.length t.i_pages.keys;
   }
 
 let to_vector r =

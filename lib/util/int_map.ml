@@ -78,13 +78,6 @@ let set t key v =
   let i = probe t.keys t.mask key (slot_of_key t.shift key) in
   if Array.unsafe_get t.keys i = key then Array.unsafe_set t.vals i v else insert_at t i key v
 
-let bump t key delta =
-  if key < 0 then invalid_arg "Int_map.bump: negative key";
-  let i = probe t.keys t.mask key (slot_of_key t.shift key) in
-  if Array.unsafe_get t.keys i = key then
-    Array.unsafe_set t.vals i (Array.unsafe_get t.vals i + delta)
-  else insert_at t i key delta
-
 let add_if_absent t key =
   if key < 0 then invalid_arg "Int_map.add_if_absent: negative key";
   let i = probe t.keys t.mask key (slot_of_key t.shift key) in

@@ -24,10 +24,6 @@ val mem : t -> int -> bool
 val set : t -> int -> int -> unit
 (** [set t key v] binds [key] to [v], replacing any previous binding. *)
 
-val bump : t -> int -> int -> unit
-(** [bump t key delta] adds [delta] to [key]'s value, inserting [delta]
-    if the key is absent. *)
-
 val add_if_absent : t -> int -> unit
 (** [add_if_absent t key] inserts [key] with value [0] if absent; used as
     a set. *)

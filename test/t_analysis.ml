@@ -277,6 +277,55 @@ let test_ppm_variant_restriction () =
   Tutil.run_sink (A.Ppm.sink t) [ Tutil.branch ~taken:true () ];
   Alcotest.(check int) "restricted vector" 1 (Array.length (A.Ppm.to_vector t))
 
+(* ---------------- differentials against the reference oracles ---------------- *)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* [branches] conditional branches over [npcs] distinct pcs, each pc with
+   its own random taken bias, in random order.  Past three pcs the
+   per-address predictors' context-block array grows at least twice. *)
+let random_branches ~seed ~npcs ~branches =
+  let rng = Mica_util.Rng.create ~seed:(Int64.of_int seed) in
+  let pcs = Array.init npcs (fun i -> 0x1000 + (i * 256) + (4 * Mica_util.Rng.int rng 64)) in
+  let bias = Array.init npcs (fun _ -> Mica_util.Rng.float rng 1.0) in
+  List.init branches (fun _ ->
+      let j = Mica_util.Rng.int rng npcs in
+      Tutil.branch ~pc:pcs.(j) ~taken:(Mica_util.Rng.bernoulli rng ~p:bias.(j)) ())
+
+(* The dense context blocks must reproduce the oracle's structurally
+   keyed tables exactly: same misses, so bit-identical miss rates. *)
+let prop_ppm_matches_reference order =
+  Tutil.qcheck_case ~count:2
+    (Printf.sprintf "ppm order %d = reference, bit for bit" order)
+    QCheck2.Gen.(pair (int_range 1 40) int)
+    (fun (npcs, seed) ->
+      let instrs = random_branches ~seed ~npcs ~branches:20_000 in
+      let t = A.Ppm.create ~order () in
+      Tutil.run_sink (A.Ppm.sink t) instrs;
+      bits_equal (A.Ppm.to_vector t) (Mica_verify.Reference.ppm ~order instrs))
+
+(* Random register traffic over a few registers (r31 and "none"
+   included), so dependences are dense and windows fill and wrap. *)
+let random_dataflow ~seed ~n =
+  let rng = Mica_util.Rng.create ~seed:(Int64.of_int seed) in
+  let reg () = if Mica_util.Rng.int rng 8 = 0 then Mica_isa.Reg.none else Mica_util.Rng.int_in rng 28 31 in
+  List.init n (fun _ ->
+      if Mica_util.Rng.bool rng then Tutil.alu ~src1:(reg ()) ~src2:(reg ()) ~dst:(reg ()) ()
+      else Tutil.load ~src1:(reg ()) ~dst:(reg ()) ~addr:0x8000 ())
+
+(* Non-power-of-two windows cover the ring's wrap at every size. *)
+let prop_ilp_matches_reference =
+  Tutil.qcheck_case ~count:20 "ilp = reference on odd windows, bit for bit"
+    QCheck2.Gen.(triple (int_range 1 1500) (int_range 2 200) int)
+    (fun (n, window, seed) ->
+      let windows = [| 1; 3; 100; window |] in
+      let instrs = random_dataflow ~seed ~n in
+      let t = A.Ilp.create ~windows () in
+      Tutil.run_sink ~capacity:97 (A.Ilp.sink t) instrs;
+      bits_equal (A.Ilp.ipc t) (Mica_verify.Reference.ilp ~windows instrs))
+
 (* ---------------- combined analyzer ---------------- *)
 
 let test_analyzer_vector_shape () =
@@ -357,6 +406,12 @@ let suite =
       Alcotest.test_case "ppm per-address tables" `Quick test_ppm_per_address_tables;
       Alcotest.test_case "ppm conditional only" `Quick test_ppm_only_conditional_branches;
       Alcotest.test_case "ppm variant restriction" `Quick test_ppm_variant_restriction;
+      prop_ppm_matches_reference 0;
+      prop_ppm_matches_reference 1;
+      prop_ppm_matches_reference 4;
+      prop_ppm_matches_reference 8;
+      prop_ppm_matches_reference 12;
+      prop_ilp_matches_reference;
       Alcotest.test_case "analyzer vector shape" `Quick test_analyzer_vector_shape;
       Alcotest.test_case "analyzer deterministic" `Quick test_analyzer_deterministic;
       Alcotest.test_case "analyzer probabilities" `Quick test_analyzer_probabilities_in_range;

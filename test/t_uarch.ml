@@ -618,11 +618,17 @@ let words_for setup run n =
   run st n;
   Gc.minor_words () -. w0
 
-let check_alloc_free name setup run =
+(* [Some report] when the extra 100k instructions allocate past the slack. *)
+let alloc_excess name setup run =
   let short = words_for setup run 100_000 and long = words_for setup run 200_000 in
   if long -. short > alloc_slack then
-    Alcotest.failf "%s: %.0f minor words for 100k more instructions (100k run: %.0f, 200k run: %.0f)"
-      name (long -. short) short long
+    Some
+      (Printf.sprintf "%s: %.0f minor words for 100k more instructions (100k run: %.0f, 200k run: %.0f)"
+         name (long -. short) short long)
+  else None
+
+let check_alloc_free name setup run =
+  Option.iter Alcotest.fail (alloc_excess name setup run)
 
 (* Feed the first [n] recorded instructions to a sink. *)
 let replay (sink : Mica_trace.Sink.t) n =
@@ -644,6 +650,27 @@ let test_models_alloc_free () =
     (fun (name, cfg) ->
       check_alloc_free ("Machine.sink " ^ name) (fun () -> U.Machine.sink (U.Machine.create cfg)) replay)
     (T_fleet.load_dir_exn ())
+
+(* The analyzers run per instruction in every characterization, so the
+   same rule holds for each family and for the [Analyzer.sink] fanout
+   that bundles them. *)
+let test_analyzers_alloc_free () =
+  let module A = Mica_analysis in
+  let sinks =
+    [
+      ("Mix.sink", fun () -> A.Mix.sink (A.Mix.create ()));
+      ("Ilp.sink", fun () -> A.Ilp.sink (A.Ilp.create ()));
+      ("Regtraffic.sink", fun () -> A.Regtraffic.sink (A.Regtraffic.create ()));
+      ("Working_set.sink", fun () -> A.Working_set.sink (A.Working_set.create ()));
+      ("Strides.sink", fun () -> A.Strides.sink (A.Strides.create ()));
+      ("Ppm.sink", fun () -> A.Ppm.sink (A.Ppm.create ()));
+      ("Analyzer.sink", fun () -> A.Analyzer.sink (A.Analyzer.create ()));
+    ]
+  in
+  (* every offender is reported, not only the first *)
+  match List.filter_map (fun (name, setup) -> alloc_excess name setup replay) sinks with
+  | [] -> ()
+  | reports -> Alcotest.fail (String.concat "\n" reports)
 
 (* Addresses with a mix of hits and misses in the structures below. *)
 let alloc_addrs =
@@ -677,6 +704,8 @@ let suite =
       prop_machine_rates_bounded;
       Alcotest.test_case "models allocation-free per instruction" `Quick test_models_alloc_free;
       Alcotest.test_case "cache/tlb allocation-free" `Quick test_cache_tlb_alloc_free;
+      Alcotest.test_case "analyzers allocation-free per instruction" `Quick
+        test_analyzers_alloc_free;
       prop_cache_matches_reference_lru;
       prop_tlb_matches_reference_lru;
       Alcotest.test_case "cache geometry" `Quick test_cache_geometry;

@@ -95,7 +95,6 @@ let prop_int_map_matches_hashtbl =
       frequency
         [
           (4, map2 (fun k v -> `Set (k, v)) key (int_range (-50) 50));
-          (4, map2 (fun k d -> `Bump (k, d)) key (int_range (-10) 10));
           (2, map (fun k -> `Add_if_absent k) key);
           (3, map (fun k -> `Find k) key);
         ])
@@ -112,9 +111,6 @@ let prop_int_map_matches_hashtbl =
           | `Set (k, v) ->
             Int_map.set m k v;
             Hashtbl.replace h k v
-          | `Bump (k, d) ->
-            Int_map.bump m k d;
-            Hashtbl.replace h k (Option.value (Hashtbl.find_opt h k) ~default:0 + d)
           | `Add_if_absent k ->
             Int_map.add_if_absent m k;
             if not (Hashtbl.mem h k) then Hashtbl.replace h k 0
@@ -136,7 +132,6 @@ let test_int_map_negative_keys_rejected () =
     (fun f -> try f (); Alcotest.fail "negative key accepted" with Invalid_argument _ -> ())
     [
       (fun () -> Int_map.set m (-1) 0);
-      (fun () -> Int_map.bump m (-3) 1);
       (fun () -> Int_map.add_if_absent m (-2));
     ]
 
